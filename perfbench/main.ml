@@ -13,8 +13,7 @@ module M = Measure
    them. *)
 let end_to_end =
   [ ("setup_s", "s"); ("run_wall_s", "s"); ("peak_heap_mb", "MB"); ("serve_rps", "req/s");
-    ("eval_p50_ms", "ms"); ("eval_p99_ms", "ms"); ("update_p50_ms", "ms");
-    ("update_p99_ms", "ms"); ("recovery_s", "s") ]
+    ("eval_p50_ms", "ms"); ("update_p50_ms", "ms"); ("recovery_s", "s") ]
 
 let per_layer =
   [ ("parser.parse_s", "s"); ("db_snapshot.read_s", "s"); ("db_snapshot.image_bytes", "bytes");
@@ -47,6 +46,10 @@ let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("perfbench: " ^ msg); 
 let usage = "main.exe --workload NAME --seed N --seconds S --trace 0|1"
 
 let () =
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = "--calibrate" then begin
+    Printf.printf "%.9f\n%!" (M.calibration_sample ());
+    exit 0
+  end;
   let workload = ref "" and seed = ref None and seconds = ref 10.0 and trace = ref 0 in
   Arg.parse
     [ ("--workload", Arg.Set_string workload, "NAME one of the workloads in BENCHMARK.json");
@@ -90,9 +93,21 @@ let () =
         | `Batch w -> Batch.run w ~seed ~seconds:!seconds ~trace ~dir
         | `Serve -> Serve.run ~seed ~seconds:!seconds ~trace ~dir)
   in
+  (* Batch end-to-end figures are reported at the reference host speed;
+     the line before the result keeps them as measured. *)
+  let measured = outcome.M.metrics in
+  let reported =
+    if !trace = 1 || outcome.M.calibrations = [] then measured
+    else begin
+      Printf.printf "{\"host\": {\"calibration_median_s\": %.6g, \"reference_calibration_s\": %g, \"raw\": {%s}}}\n%!"
+        (M.median outcome.M.calibrations) M.reference_calibration_s
+        (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %.6g" k v) measured));
+      M.at_reference_speed outcome.M.calibrations measured
+    end
+  in
   let wanted = if !trace = 1 then per_layer else end_to_end in
   let value name =
-    match List.assoc_opt name outcome.M.metrics with
+    match List.assoc_opt name reported with
     | Some v -> v
     | None when !trace = 1 -> 0.0 (* a layer this workload does not call *)
     | None -> fail "internal: %s not measured" name

@@ -17,16 +17,6 @@ let median xs =
     let n = Array.length a in
     if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
-(* Nearest-rank percentile: the smallest sample with at least [p]% of
-   the samples at or below it, so every reported value was observed. *)
-let percentile p xs =
-  match sorted xs with
-  | [||] -> 0.0
-  | a ->
-    let n = Array.length a in
-    let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
-    a.(max 0 (min (n - 1) (rank - 1)))
-
 let mean xs = match xs with [] -> 0.0 | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
 let sum xs = List.fold_left ( +. ) 0.0 xs
@@ -39,7 +29,8 @@ type outcome = {
   attempted : int;
   failed : int;  (** operations that raised or gave a wrong answer *)
   wrong : int;  (** operations whose output check failed *)
-  metrics : (string * float) list;
+  metrics : (string * float) list;  (** as measured *)
+  calibrations : float list;  (** [calibrate]'s samples, one per round; none on the serving path *)
 }
 
 (* Run [round] until [seconds] have passed, at least once; returns the
@@ -132,3 +123,68 @@ let count_lines text =
   let n = ref 0 in
   String.iter (fun c -> if c = '\n' then incr n) text;
   !n
+
+(* ---------------- host speed ---------------- *)
+
+(* The host this benchmark runs on is shared: its speed for a fixed
+   CPU-bound loop drifts by half from one minute to the next, and every
+   time a run measures drifts with it.  [calibration_work] is a fixed
+   piece of work made only of the OCaml runtime and standard library
+   (random reads over a large array, hash tables of small tuples,
+   sorting, printing into a buffer: the memory traffic, allocation and
+   output of the engine and the printer), so no change to the program
+   moves it.  The batch workloads call [calibrate] once per round and
+   report their times scaled by [reference_calibration_s] over the run's
+   median calibration time: seconds at the host speed the reference was
+   measured at. *)
+let calibration_work () =
+  let n = 1 lsl 21 in
+  (* random reads over a 16 MB array: the memory traffic of big relations *)
+  let a = Array.init n (fun i -> (i * 2654435761) land (n - 1)) in
+  let s = ref 0 and j = ref 0 in
+  for _ = 1 to 1_000_000 do
+    j := a.(!j lxor (!s land 7));
+    s := !s + !j
+  done;
+  (* hash tables of small tuples, sorting, printing *)
+  let m = 40_000 in
+  let h = Hashtbl.create 1024 in
+  for i = 0 to m - 1 do
+    Hashtbl.replace h (a.(i) * 31) (i, string_of_int i)
+  done;
+  let l = List.sort compare (List.init m (fun i -> (a.(i), i))) in
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter (fun (k, i) -> Printf.bprintf buf "c(%d, %d).\n" k i) l;
+  !s + Hashtbl.length h + Buffer.length buf
+
+(* What `main.exe --calibrate` prints. *)
+let calibration_sample () =
+  let t0 = now () in
+  ignore (Sys.opaque_identity (calibration_work ()));
+  now () -. t0
+
+(* One calibration sample, taken in a fresh process so that the
+   workload's heap does not weigh on it. *)
+let calibrate () =
+  let ic = Unix.open_process_args_in Sys.executable_name [| Sys.executable_name; "--calibrate" |] in
+  let line = Fun.protect ~finally:(fun () -> ignore (Unix.close_process_in ic)) (fun () -> In_channel.input_line ic) in
+  match Option.bind line float_of_string_opt with
+  | Some t -> t
+  | None -> failwith "calibration process printed no time"
+
+(* About [calibrate]'s time on the host the reference figures in
+   perfbench/README.md were measured on, when it was quiet. *)
+let reference_calibration_s = 0.1
+
+(* End-to-end figures brought to the reference host speed: times
+   scale with the run's calibration time, rates inversely; memory is
+   left as measured. *)
+let at_reference_speed calibrations metrics =
+  let k = reference_calibration_s /. median calibrations in
+  List.map
+    (fun (name, v) ->
+      match name with
+      | "peak_heap_mb" -> (name, v)
+      | "serve_rps" -> (name, v /. k)
+      | _ -> (name, v *. k))
+    metrics

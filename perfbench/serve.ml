@@ -96,12 +96,16 @@ let make_inputs ~seed =
     ^ "\n"
   in
   let rng = Rng.create (seed lxor 0x7e57) in
+  (* The seed picks the chains a bridge joins; where on them it starts
+     and ends is the same for every seed, so the closure facts a write
+     adds and removes, and the rows its query returns, are too. *)
   let bridges =
     Array.init connections (fun _ ->
-        Array.init tc_writes (fun _ ->
+        Array.init tc_writes (fun w ->
             let a = Rng.int rng (chains - 1) in
             let b = a + 1 + Rng.int rng (chains - 1 - a) in
-            edge ((a * chain_len) + Rng.int rng chain_len) ((b * chain_len) + Rng.int rng chain_len) 0))
+            let i = (w * 5) mod chain_len and j = ((w * 11) + 3) mod chain_len in
+            edge ((a * chain_len) + i) ((b * chain_len) + j) 0))
   in
   (* Odd costs: distinct from the graph's even ones and from each other. *)
   let prim_adds =
@@ -422,10 +426,15 @@ let codec_us frames =
 (* [Server.create] over a data dir, timed; the server is then started
    and stopped again. *)
 let restart cfg =
+  Gc.full_major ();
   let t0 = M.now () in
   let srv = match Server.create cfg with Ok srv -> srv | Error msg -> failwith ("gbcd restart: " ^ msg) in
   let dt = M.now () -. t0 in
   (dt, { srv; runner = Domain.spawn (fun () -> Server.run srv) })
+
+(* A restart takes tens of milliseconds; several per round give the
+   median enough samples to ride out the host's short stalls. *)
+let restarts_per_round = 3
 
 let run ~seed ~seconds ~trace ~dir : M.outcome =
   let setup name =
@@ -450,12 +459,14 @@ let run ~seed ~seconds ~trace ~dir : M.outcome =
     stop d;
     M.rm_rf scratch;
     setups := dt :: !setups;
-    let copy = Filename.concat dir "recover.data" in
-    M.copy_tree data copy;
-    let dt, d = restart (config ~data:copy ~sock:(Filename.concat dir "recover.sock")) in
-    stop d;
-    M.rm_rf copy;
-    restarts := dt :: !restarts
+    for _ = 1 to restarts_per_round do
+      let copy = Filename.concat dir "recover.data" in
+      M.copy_tree data copy;
+      let dt, d = restart (config ~data:copy ~sock:(Filename.concat dir "recover.sock")) in
+      stop d;
+      M.rm_rf copy;
+      restarts := dt :: !restarts
+    done
   in
   let totals = tally () in
   let merge (t : tally) =
@@ -535,17 +546,22 @@ let run ~seed ~seconds ~trace ~dir : M.outcome =
   let updates rs = List.concat_map (fun (_, ts) -> List.concat_map (fun t -> t.updates) ts) rs in
   let walls rs = List.map fst rs in
   let ms x = 1000.0 *. x in
+  (* Reported as measured, not brought to a reference host speed as the
+     batch figures are: a serving round waits on sockets, fsync and the
+     scheduler as much as on the CPU, and over sets of runs the scaling
+     moved these figures further from their median, not closer. *)
   let metrics =
     if not trace then
-      let requests = List.fold_left (fun acc (_, ts) -> List.fold_left (fun acc t -> acc + t.attempted) acc ts) 0 plain in
+      (* every round sends the same requests; rates and walls are
+         medians over rounds, latencies medians over all requests *)
+      let per_round = List.fold_left (fun acc t -> acc + t.attempted) 0 (snd (List.hd plain)) in
+      let wall = M.median (walls plain) in
       [ ("setup_s", M.median !setups);
-        ("run_wall_s", M.median (walls plain));
+        ("run_wall_s", wall);
         ("peak_heap_mb", M.peak_heap_mb ());
-        ("serve_rps", float_of_int requests /. M.sum (walls plain));
+        ("serve_rps", float_of_int per_round /. wall);
         ("eval_p50_ms", ms (M.median (evals plain)));
-        ("eval_p99_ms", ms (M.percentile 99.0 (evals plain)));
         ("update_p50_ms", ms (M.median (updates plain)));
-        ("update_p99_ms", ms (M.percentile 99.0 (updates plain)));
         ("recovery_s", M.median !restarts) ]
     else begin
       let n = float_of_int (List.length traced) in
@@ -604,4 +620,4 @@ let run ~seed ~seconds ~trace ~dir : M.outcome =
         ("trace.overhead_pct", 100.0 *. ((wall /. M.median (walls plain)) -. 1.0)) ]
     end
   in
-  { M.attempted = totals.attempted; failed = totals.failed; wrong = totals.wrong; metrics }
+  { M.attempted = totals.attempted; failed = totals.failed; wrong = totals.wrong; metrics; calibrations = [] }
