@@ -93,11 +93,11 @@ let () =
         | `Batch w -> Batch.run w ~seed ~seconds:!seconds ~trace ~dir
         | `Serve -> Serve.run ~seed ~seconds:!seconds ~trace ~dir)
   in
-  (* Batch end-to-end figures are reported at the reference host speed;
-     the line before the result keeps them as measured. *)
+  (* End-to-end figures are reported at the reference host speed; the
+     line before the result keeps them as measured. *)
   let measured = outcome.M.metrics in
   let reported =
-    if !trace = 1 || outcome.M.calibrations = [] then measured
+    if !trace = 1 then measured
     else begin
       Printf.printf "{\"host\": {\"calibration_median_s\": %.6g, \"reference_calibration_s\": %g, \"raw\": {%s}}}\n%!"
         (M.median outcome.M.calibrations) M.reference_calibration_s

@@ -30,7 +30,7 @@ type outcome = {
   failed : int;  (** operations that raised or gave a wrong answer *)
   wrong : int;  (** operations whose output check failed *)
   metrics : (string * float) list;  (** as measured *)
-  calibrations : float list;  (** [calibrate]'s samples, one per round; none on the serving path *)
+  calibrations : float list;  (** [calibrate]'s samples, one per round *)
 }
 
 (* Run [round] until [seconds] have passed, at least once; returns the
@@ -133,8 +133,8 @@ let count_lines text =
    (random reads over a large array, hash tables of small tuples,
    sorting, printing into a buffer: the memory traffic, allocation and
    output of the engine and the printer), so no change to the program
-   moves it.  The batch workloads call [calibrate] once per round and
-   report their times scaled by [reference_calibration_s] over the run's
+   moves it.  Every workload calls [calibrate] once per round and
+   reports its times scaled by [reference_calibration_s] over the run's
    median calibration time: seconds at the host speed the reference was
    measured at. *)
 let calibration_work () =
@@ -163,14 +163,25 @@ let calibration_sample () =
   ignore (Sys.opaque_identity (calibration_work ()));
   now () -. t0
 
-(* One calibration sample, taken in a fresh process so that the
-   workload's heap does not weigh on it. *)
-let calibrate () =
-  let ic = Unix.open_process_args_in Sys.executable_name [| Sys.executable_name; "--calibrate" |] in
-  let line = Fun.protect ~finally:(fun () -> ignore (Unix.close_process_in ic)) (fun () -> In_channel.input_line ic) in
-  match Option.bind line float_of_string_opt with
-  | Some t -> t
-  | None -> failwith "calibration process printed no time"
+(* One calibration sample: the mean time of [parallel] runs of the work
+   at once, each in a fresh process so that the workload's heap does not
+   weigh on it.  A workload that keeps two CPUs busy is calibrated with
+   two, so that a host that lends it less than two CPUs shows. *)
+let calibrate ~parallel =
+  let ics =
+    List.init parallel (fun _ ->
+        Unix.open_process_args_in Sys.executable_name [| Sys.executable_name; "--calibrate" |])
+  in
+  let times =
+    List.map
+      (fun ic ->
+        let line = Fun.protect ~finally:(fun () -> ignore (Unix.close_process_in ic)) (fun () -> In_channel.input_line ic) in
+        match Option.bind line float_of_string_opt with
+        | Some t -> t
+        | None -> failwith "calibration process printed no time")
+      ics
+  in
+  mean times
 
 (* About [calibrate]'s time on the host the reference figures in
    perfbench/README.md were measured on, when it was quiet. *)

@@ -452,7 +452,7 @@ let run ~seed ~seconds ~trace ~dir : M.outcome =
      every round: these samples then spread over the run as the rounds
      do, and their medians ride out the host's slow and fast spells.
      Every round leaves the data dir in the same state. *)
-  let setups = ref [ first ] and restarts = ref [] in
+  let setups = ref [ first ] and restarts = ref [] and calibrations = ref [] in
   let between () =
     let dt, (_, scratch, _, d, conns) = setup "setup" in
     List.iter Client.close conns;
@@ -466,7 +466,8 @@ let run ~seed ~seconds ~trace ~dir : M.outcome =
       stop d;
       M.rm_rf copy;
       restarts := dt :: !restarts
-    done
+    done;
+    calibrations := M.calibrate ~parallel:workers :: !calibrations
   in
   let totals = tally () in
   let merge (t : tally) =
@@ -546,10 +547,6 @@ let run ~seed ~seconds ~trace ~dir : M.outcome =
   let updates rs = List.concat_map (fun (_, ts) -> List.concat_map (fun t -> t.updates) ts) rs in
   let walls rs = List.map fst rs in
   let ms x = 1000.0 *. x in
-  (* Reported as measured, not brought to a reference host speed as the
-     batch figures are: a serving round waits on sockets, fsync and the
-     scheduler as much as on the CPU, and over sets of runs the scaling
-     moved these figures further from their median, not closer. *)
   let metrics =
     if not trace then
       (* every round sends the same requests; rates and walls are
@@ -620,4 +617,4 @@ let run ~seed ~seconds ~trace ~dir : M.outcome =
         ("trace.overhead_pct", 100.0 *. ((wall /. M.median (walls plain)) -. 1.0)) ]
     end
   in
-  { M.attempted = totals.attempted; failed = totals.failed; wrong = totals.wrong; metrics; calibrations = [] }
+  { M.attempted = totals.attempted; failed = totals.failed; wrong = totals.wrong; metrics; calibrations = !calibrations }
