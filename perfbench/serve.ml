@@ -479,6 +479,9 @@ let run ~seed ~seconds ~trace ~dir : M.outcome =
      two workers appending the first WAL records of the process at once
      can fail (see the FOUND line on Checksum.table in CHANGES.md). *)
   let first_done = Atomic.make false in
+  (* the last answer of each session, kept from the latest round only:
+     every earlier round's model texts would pile up in the heap *)
+  let last_models = ref [] in
   (* one round: both connections replay their sequence concurrently *)
   let round ~keep_frames () =
     let tallies = List.map (fun _ -> tally ()) conns in
@@ -503,6 +506,8 @@ let run ~seed ~seconds ~trace ~dir : M.outcome =
     List.iter Thread.join threads;
     let wall = M.now () -. t0 in
     List.iter merge tallies;
+    last_models := List.map (fun t -> t.last_model) tallies;
+    List.iter (fun t -> t.last_model <- "") tallies;
     Option.iter raise (Atomic.get failure);
     between ();
     (wall, tallies)
@@ -515,13 +520,12 @@ let run ~seed ~seconds ~trace ~dir : M.outcome =
   (* the sessions outlive their connections; note each one's last answer *)
   let last_models =
     List.map2
-      (fun c t ->
+      (fun c model ->
         totals.attempted <- totals.attempted + 1;
         match Client.rpc c (Protocol.Attach None) with
-        | Protocol.Attached { id } -> (id, t.last_model)
+        | Protocol.Attached { id } -> (id, model)
         | _ -> failwith "attach refused")
-      conns
-      (snd (List.hd (List.rev (plain @ traced))))
+      conns !last_models
   in
   List.iter Client.close conns;
   stop d;
