@@ -299,7 +299,7 @@ let run workload ~seed ~seconds ~trace ~dir =
   let between () =
     setups := fst (setup ()) :: !setups;
     restarts := restart ops :: !restarts;
-    calibrations := M.calibrate ~parallel:1 :: !calibrations
+    calibrations := M.calibrate ~domains:1 :: !calibrations
   in
   let attempted = ref 0 and failed = ref 0 and wrong = ref 0 in
   let round traced () =

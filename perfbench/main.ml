@@ -46,10 +46,11 @@ let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("perfbench: " ^ msg); 
 let usage = "main.exe --workload NAME --seed N --seconds S --trace 0|1"
 
 let () =
-  if Array.length Sys.argv = 2 && Sys.argv.(1) = "--calibrate" then begin
-    Printf.printf "%.9f\n%!" (M.calibration_sample ());
+  (match Sys.argv with
+  | [| _; "--calibrate"; n |] ->
+    Printf.printf "%.9f\n%!" (M.calibration_sample (int_of_string n));
     exit 0
-  end;
+  | _ -> ());
   let workload = ref "" and seed = ref None and seconds = ref 10.0 and trace = ref 0 in
   Arg.parse
     [ ("--workload", Arg.Set_string workload, "NAME one of the workloads in BENCHMARK.json");

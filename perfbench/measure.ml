@@ -157,31 +157,30 @@ let calibration_work () =
   List.iter (fun (k, i) -> Printf.bprintf buf "c(%d, %d).\n" k i) l;
   !s + Hashtbl.length h + Buffer.length buf
 
-(* What `main.exe --calibrate` prints. *)
-let calibration_sample () =
+(* What `main.exe --calibrate N` prints: the time [calibration_work]
+   takes on N domains of one process at once.  The domains share the
+   runtime's stop-the-world minor collections, as the daemon's do, so a
+   host that lends the process fewer CPUs than it has domains stalls
+   them all, as it stalls the daemon. *)
+let calibration_sample domains =
+  let work () = ignore (Sys.opaque_identity (calibration_work ())) in
   let t0 = now () in
-  ignore (Sys.opaque_identity (calibration_work ()));
+  let others = List.init (domains - 1) (fun _ -> Domain.spawn work) in
+  work ();
+  List.iter Domain.join others;
   now () -. t0
 
-(* One calibration sample: the mean time of [parallel] runs of the work
-   at once, each in a fresh process so that the workload's heap does not
-   weigh on it.  A workload that keeps two CPUs busy is calibrated with
-   two, so that a host that lends it less than two CPUs shows. *)
-let calibrate ~parallel =
-  let ics =
-    List.init parallel (fun _ ->
-        Unix.open_process_args_in Sys.executable_name [| Sys.executable_name; "--calibrate" |])
+(* One calibration sample on [domains] domains, taken in a fresh process
+   so that the workload's heap does not weigh on it. *)
+let calibrate ~domains =
+  let ic =
+    Unix.open_process_args_in Sys.executable_name
+      [| Sys.executable_name; "--calibrate"; string_of_int domains |]
   in
-  let times =
-    List.map
-      (fun ic ->
-        let line = Fun.protect ~finally:(fun () -> ignore (Unix.close_process_in ic)) (fun () -> In_channel.input_line ic) in
-        match Option.bind line float_of_string_opt with
-        | Some t -> t
-        | None -> failwith "calibration process printed no time")
-      ics
-  in
-  mean times
+  let line = Fun.protect ~finally:(fun () -> ignore (Unix.close_process_in ic)) (fun () -> In_channel.input_line ic) in
+  match Option.bind line float_of_string_opt with
+  | Some t -> t
+  | None -> failwith "calibration process printed no time"
 
 (* About [calibrate]'s time on the host the reference figures in
    perfbench/README.md were measured on, when it was quiet. *)

@@ -467,7 +467,7 @@ let run ~seed ~seconds ~trace ~dir : M.outcome =
       M.rm_rf copy;
       restarts := dt :: !restarts
     done;
-    calibrations := M.calibrate ~parallel:workers :: !calibrations
+    calibrations := M.calibrate ~domains:workers :: !calibrations
   in
   let totals = tally () in
   let merge (t : tally) =
