@@ -5,7 +5,14 @@
 
    It prints one stamp line and, as its last line, the result object
    {"correct", "attempted", "failed", "metrics"}: the end-to-end
-   metrics with --trace 0, the per-layer metrics with --trace 1. *)
+   metrics with --trace 0, the per-layer metrics with --trace 1.  With
+   --trace 0 a host line between them gives the calibration time and
+   the end-to-end figures as measured.
+
+     main.exe --calibrate N
+
+   prints the time of the fixed calibration work on N domains at once
+   (see Measure.calibrate). *)
 
 module M = Measure
 
